@@ -1,5 +1,7 @@
 //! The effect of one update on `SLen`: changed pairs and affected nodes.
 
+use std::collections::HashMap;
+
 use gpnm_graph::{NodeId, NodeSet};
 
 /// Distance changes caused by a single data-graph update.
@@ -60,6 +62,50 @@ impl AffDelta {
     }
 }
 
+/// Folds a sequence of per-update deltas into one *net* delta: per
+/// `(x, y)` pair the first `old` and the last `new`, with pairs whose net
+/// change is nil dropped. Records come out in first-change order.
+///
+/// This is what a batch commit reports: the distances before the batch
+/// against the distances after it, whatever happened in between.
+#[derive(Debug, Default)]
+pub struct NetDelta {
+    /// Position of each pair in `records`.
+    slot: HashMap<(NodeId, NodeId), usize>,
+    records: Vec<(NodeId, NodeId, u32, u32)>,
+}
+
+impl NetDelta {
+    /// An empty fold.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Fold in the next delta of the sequence.
+    pub fn push(&mut self, delta: &AffDelta) {
+        for &(x, y, old, new) in &delta.changed {
+            match self.slot.get(&(x, y)) {
+                Some(&i) => self.records[i].3 = new,
+                None => {
+                    self.slot.insert((x, y), self.records.len());
+                    self.records.push((x, y, old, new));
+                }
+            }
+        }
+    }
+
+    /// The net delta of everything pushed.
+    pub fn finish(self) -> AffDelta {
+        let mut net = AffDelta::new();
+        for (x, y, old, new) in self.records {
+            if old != new {
+                net.record(x, y, old, new);
+            }
+        }
+        net
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,6 +139,22 @@ mod tests {
         d.record(NodeId(0), NodeId(1), 3, 2);
         assert_eq!(d.new_distance(NodeId(0), NodeId(1)), Some(2));
         assert_eq!(d.new_distance(NodeId(1), NodeId(0)), None);
+    }
+
+    #[test]
+    fn net_delta_keeps_first_old_and_last_new() {
+        let mut a = AffDelta::new();
+        a.record(NodeId(0), NodeId(1), 4, 2);
+        a.record(NodeId(0), NodeId(2), INF, 3);
+        let mut b = AffDelta::new();
+        b.record(NodeId(0), NodeId(1), 2, 1);
+        b.record(NodeId(0), NodeId(2), 3, INF); // back where it started
+        let mut fold = NetDelta::new();
+        fold.push(&a);
+        fold.push(&b);
+        let net = fold.finish();
+        assert_eq!(net.changed, vec![(NodeId(0), NodeId(1), 4, 1)]);
+        assert!(!net.affected.contains(NodeId(2)), "a nil pair is dropped");
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //! every repair — and everything else inherits the variant's behavior
 //! unchanged.
 
-use gpnm_graph::{DataGraph, NodeId};
+use gpnm_graph::{DataGraph, DataUpdate, GraphError, NodeId};
 
 use crate::aff::AffDelta;
 use crate::backend::{
-    CostHints, IoStats, PartitionedBackend, RepairHint, SlenBackend, SlenRequirements,
+    BatchCommit, CostHints, IoStats, PartitionedBackend, RepairHint, SlenBackend, SlenRequirements,
 };
 use crate::incremental::IncrementalIndex;
 use crate::kind::BackendKind;
@@ -150,6 +150,15 @@ impl SlenBackend for AnyBackend {
 
     fn commit_delete_node(&mut self, graph: &DataGraph, id: NodeId, hint: RepairHint) -> AffDelta {
         on_backend!(self, b => SlenBackend::commit_delete_node(b, graph, id, hint))
+    }
+
+    fn commit_batch(
+        &mut self,
+        graph: &mut DataGraph,
+        updates: &[DataUpdate],
+        hint: RepairHint,
+    ) -> Result<BatchCommit, GraphError> {
+        on_backend!(self, b => b.commit_batch(graph, updates, hint))
     }
 
     fn resident_rows(&self) -> usize {

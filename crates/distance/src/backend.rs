@@ -29,9 +29,9 @@
 //! requirement set and [`SlenBackend::sync_requirements`] grows it when a
 //! batch's pattern updates widen the pattern.
 
-use gpnm_graph::{Bound, DataGraph, Label, NodeId, PatternGraph};
+use gpnm_graph::{Bound, DataGraph, DataUpdate, GraphError, Label, NodeId, PatternGraph};
 
-use crate::aff::AffDelta;
+use crate::aff::{AffDelta, NetDelta};
 use crate::apsp::parallel_bfs_rows_csr;
 use crate::incremental::IncrementalIndex;
 use crate::matrix::DistanceMatrix;
@@ -243,6 +243,37 @@ pub enum RepairHint {
     Accelerated,
 }
 
+/// The net effect of one committed batch ([`SlenBackend::commit_batch`]).
+#[derive(Debug, Clone, Default)]
+pub struct BatchCommit {
+    /// Per changed pair, its distance before the batch and after it;
+    /// pairs the batch left where they were are absent.
+    pub delta: AffDelta,
+    /// The ids the batch's [`DataUpdate::InsertNode`]s created, in batch
+    /// order.
+    pub created: Vec<NodeId>,
+}
+
+/// Apply one data update to `graph` and repair `index` for it, returning
+/// the update's delta and the id an insert-node created. Fails without
+/// mutating anything when the update is invalid against the graph.
+pub fn commit_update<B: SlenBackend + ?Sized>(
+    index: &mut B,
+    graph: &mut DataGraph,
+    update: &DataUpdate,
+    hint: RepairHint,
+) -> Result<(AffDelta, Option<NodeId>), GraphError> {
+    let created = graph.apply(update)?;
+    let delta = match (*update, created) {
+        (DataUpdate::InsertEdge { from, to }, _) => index.commit_insert_edge(graph, from, to, hint),
+        (DataUpdate::DeleteEdge { from, to }, _) => index.commit_delete_edge(graph, from, to, hint),
+        (DataUpdate::InsertNode { .. }, Some(id)) => index.commit_insert_node(graph, id, hint),
+        (DataUpdate::DeleteNode { node }, _) => index.commit_delete_node(graph, node, hint),
+        (DataUpdate::InsertNode { .. }, None) => unreachable!("insert-node creates a node"),
+    };
+    Ok((delta, created))
+}
+
 /// A repairable `SLen` index: the full lifecycle the GPNM engine drives.
 ///
 /// Contract shared by every method: `graph` is the engine's data graph.
@@ -325,6 +356,37 @@ pub trait SlenBackend: DistanceOracle + Send + Sync {
 
     /// Repair after the caller deleted node `id` (tombstone its slot).
     fn commit_delete_node(&mut self, graph: &DataGraph, id: NodeId, hint: RepairHint) -> AffDelta;
+
+    /// Apply a whole batch of data updates to `graph`, in order, and
+    /// repair the index once for all of them — unlike the single-update
+    /// commits, this method mutates the graph itself. Returns the batch's
+    /// net delta (see [`BatchCommit`]).
+    ///
+    /// On an invalid update the call stops there and returns its error;
+    /// the graph then holds the updates before it, and the index is
+    /// repaired for exactly those.
+    ///
+    /// The default commits update by update and folds the deltas with
+    /// [`NetDelta`]; backends that can repair a batch in one pass
+    /// override it and must return the same net delta.
+    fn commit_batch(
+        &mut self,
+        graph: &mut DataGraph,
+        updates: &[DataUpdate],
+        hint: RepairHint,
+    ) -> Result<BatchCommit, GraphError> {
+        let mut net = NetDelta::new();
+        let mut created = Vec::new();
+        for update in updates {
+            let (delta, id) = commit_update(self, graph, update, hint)?;
+            net.push(&delta);
+            created.extend(id);
+        }
+        Ok(BatchCommit {
+            delta: net.finish(),
+            created,
+        })
+    }
 
     /// Number of distance rows currently materialized.
     fn resident_rows(&self) -> usize;

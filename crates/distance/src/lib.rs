@@ -17,8 +17,9 @@
 //!   "processed distributively"), a bridge graph over inner/outer bridge
 //!   nodes, and exact cross-partition composition.
 //! * [`backend`] — the [`SlenBackend`] trait: the repairable-index
-//!   lifecycle (build, slot grow/tombstone, probe/commit deltas, bulk row
-//!   recompute) the GPNM engine is generic over, plus the requirement model
+//!   lifecycle (build, slot grow/tombstone, probe/commit deltas, batch
+//!   commits with one net delta, bulk row recompute) the GPNM engine is
+//!   generic over, plus the requirement model
 //!   ([`SlenRequirements`]) that lets backends cover only the projection
 //!   the matcher observes.
 //! * [`SparseIndex`] — the bounded-row sparse backend: truncated BFS rows
@@ -65,7 +66,6 @@ mod dijkstra;
 mod hybrid;
 pub mod incremental;
 mod kind;
-mod label_range;
 mod matrix;
 mod oracle;
 mod paged;
@@ -74,21 +74,20 @@ mod partition;
 mod partitioned;
 mod sparse;
 
-pub use aff::AffDelta;
+pub use aff::{AffDelta, NetDelta};
 pub use any::AnyBackend;
 pub use apsp::{
     apsp_matrix, bfs_row, bfs_row_skipping_edge, parallel_bfs_rows, parallel_bfs_rows_csr,
     parallel_bfs_rows_scoped,
 };
 pub use backend::{
-    project_delta, CostHints, IoStats, PartitionedBackend, RepairHint, SlenBackend,
-    SlenRequirements,
+    commit_update, project_delta, BatchCommit, CostHints, IoStats, PartitionedBackend, RepairHint,
+    SlenBackend, SlenRequirements,
 };
 pub use dijkstra::{dijkstra, dijkstra_multi, WeightedAdj};
 pub use hybrid::HybridMatrix;
 pub use incremental::IncrementalIndex;
 pub use kind::BackendKind;
-pub use label_range::{LabelRangeIndex, RangeVerdict};
 pub use matrix::DistanceMatrix;
 pub use oracle::DistanceOracle;
 #[cfg(gpnm_loom)]

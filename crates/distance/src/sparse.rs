@@ -18,10 +18,12 @@
 //! ## Representation and cost
 //!
 //! Each resident row is a sorted `(target, dist)` vector filled by a BFS
-//! truncated at depth `B` over the shared [`CsrSnapshot`] (PR-2
-//! machinery: a DER-II *probe* batch against an unmutated graph shares
-//! one CSR build; commits mutate the graph, so each commit's first BFS
-//! pays one in-place, allocation-reusing rebuild). Memory is `O(Σ_candidates |ball_B(x)|)`
+//! truncated at depth `B` over the shared [`CsrSnapshot`]. A DER-II
+//! *probe* batch against an unmutated graph shares one CSR build. Every
+//! graph mutation invalidates the snapshot, so a single-update commit
+//! that runs a BFS pays one in-place, allocation-reusing rebuild, while
+//! a [batch commit](#batch-commit) pays one for the whole batch. Memory
+//! is `O(Σ_candidates |ball_B(x)|)`
 //! instead of `O(n²)` — on a 100k-node power-law graph with a 6-node
 //! pattern over 60 labels that is tens of MB instead of 40 GB, which is
 //! what lets the `gpnm` binary run 100k+-node end-to-end experiments.
@@ -43,15 +45,39 @@
 //! * *Node delete*: resident sources whose row reaches the node, plus the
 //!   node's own row.
 //!
+//! ## Batch commit
+//!
+//! [`SlenBackend::commit_batch`] applies the whole batch to the graph
+//! first, then marks the *pre-batch* rows that can change, refreshes the
+//! CSR snapshot once, re-runs the truncated BFS once per marked row (and
+//! once per newly inserted node with a required label), and diffs each
+//! new row against its old one. A row of source `x` is marked if it
+//! contains any of
+//!
+//! * a deleted node;
+//! * the tail `u` of an inserted edge with `d(x, u) < B`;
+//! * a *tight* deleted edge `(u, v)`: `d(x, u) + 1 == d(x, v)`.
+//!
+//! The rule is sound. Any post-batch path within `B` that uses an
+//! inserted edge reaches the first such edge's tail `u` over edges that
+//! were already there before the batch, in fewer than `B` hops, so
+//! `d(x, u) < B` held before the batch. An unmarked row therefore gains
+//! no shorter path. A pre-batch shortest path within `B` has every node
+//! in the row and every edge tight, so it breaks only at a deleted node
+//! or a tight deleted edge (an edge deleted and re-inserted is also an
+//! inserted edge). An unmarked row therefore loses no path either, and
+//! its truncated row is unchanged. The marks are computed in one pass
+//! over the resident entries against slot-indexed markers.
+//!
 //! Deltas are therefore the dense deltas *projected* onto resident sources
 //! with distances `> B` mapped to ∞ — exactly the projection the matcher
 //! observes, which is what the backend-equivalence proptest suite asserts
 //! record-for-record against [`crate::IncrementalIndex`].
 
-use gpnm_graph::{CsrGraph, CsrSnapshot, DataGraph, Label, NodeId};
+use gpnm_graph::{CsrGraph, CsrSnapshot, DataGraph, DataUpdate, GraphError, Label, NodeId};
 
 use crate::aff::AffDelta;
-use crate::backend::{RepairHint, SlenBackend, SlenRequirements};
+use crate::backend::{BatchCommit, RepairHint, SlenBackend, SlenRequirements};
 use crate::oracle::DistanceOracle;
 use crate::{sat_add, INF};
 
@@ -180,6 +206,51 @@ pub(crate) fn diff_rows(x: NodeId, old: &SparseRow, new: &SparseRow, delta: &mut
     }
     for &(y, d) in &b[j..] {
         delta.record(x, NodeId(y), INF, d);
+    }
+}
+
+// Per-slot markers of a batch's edits, read by the batch candidate rule.
+const DELETED_NODE: u8 = 1;
+const INSERTED_TAIL: u8 = 2;
+const DELETED_TAIL: u8 = 4;
+const CREATED_NODE: u8 = 8;
+
+/// The graph edits of one batch, as the batch candidate rule reads them.
+struct BatchEdits {
+    /// Slot-indexed `DELETED_NODE` / `INSERTED_TAIL` / `DELETED_TAIL` /
+    /// `CREATED_NODE` bits.
+    marks: Vec<u8>,
+    /// Deleted edges `(tail, head)`, sorted.
+    deleted_edges: Vec<(u32, u32)>,
+    /// Created nodes with their labels, in batch order.
+    created: Vec<(NodeId, Label)>,
+}
+
+impl BatchEdits {
+    fn mark(&mut self, id: NodeId, bit: u8) {
+        let i = id.index();
+        if self.marks.len() <= i {
+            self.marks.resize(i + 1, 0);
+        }
+        self.marks[i] |= bit;
+    }
+
+    /// Whether the pre-batch `row` may change (see the module docs).
+    fn is_candidate(&self, row: &SparseRow, depth: u32) -> bool {
+        row.entries.iter().any(|&(y, d)| {
+            let m = self.marks.get(y as usize).copied().unwrap_or(0);
+            if m & DELETED_NODE != 0 || (m & INSERTED_TAIL != 0 && d < depth) {
+                return true;
+            }
+            if m & DELETED_TAIL == 0 {
+                return false;
+            }
+            let from = self.deleted_edges.partition_point(|e| e.0 < y);
+            self.deleted_edges[from..]
+                .iter()
+                .take_while(|e| e.0 == y)
+                .any(|&(_, v)| row.get(v) == Some(d + 1))
+        })
     }
 }
 
@@ -381,6 +452,63 @@ impl SparseIndex {
             if commit {
                 rows[x.index()] = Some(new_row);
             }
+        }
+        delta
+    }
+
+    /// Repair every row the batch `edits` (already applied to `graph`)
+    /// can have changed, returning the net delta.
+    fn repair_batch(&mut self, graph: &DataGraph, edits: &BatchEdits) -> AffDelta {
+        self.ensure_slots(graph);
+        let depth = self.reqs.depth();
+        // A created node with a required label starts as its isolated row,
+        // exactly as `commit_insert_node` leaves it.
+        for &(id, label) in &edits.created {
+            if self.required(Some(label)) {
+                self.rows[id.index()] = Some(SparseRow {
+                    entries: vec![(id.0, 0)],
+                });
+            }
+        }
+        let todo: Vec<NodeId> = self
+            .rows
+            .iter()
+            .enumerate()
+            .filter_map(|(i, r)| {
+                let row = r.as_ref()?;
+                let created = edits.marks.get(i).is_some_and(|m| m & CREATED_NODE != 0);
+                (created || edits.is_candidate(row, depth)).then(|| NodeId::from_index(i))
+            })
+            .collect();
+        let mut delta = AffDelta::new();
+        if todo.is_empty() {
+            return delta;
+        }
+        let Self {
+            rows,
+            snapshot,
+            dist_buf,
+            queue_buf,
+            ..
+        } = self;
+        let csr = snapshot.get(graph);
+        let gone = SparseRow::default();
+        for x in todo {
+            let new_row = if graph.contains(x) {
+                Some(bfs_truncated(
+                    csr,
+                    x,
+                    depth,
+                    Skip::Nothing,
+                    dist_buf,
+                    queue_buf,
+                ))
+            } else {
+                None
+            };
+            let old_row = rows[x.index()].as_ref().expect("candidate is resident");
+            diff_rows(x, old_row, new_row.as_ref().unwrap_or(&gone), &mut delta);
+            rows[x.index()] = new_row;
         }
         delta
     }
@@ -651,6 +779,52 @@ impl SlenBackend for SparseIndex {
     fn commit_delete_node(&mut self, graph: &DataGraph, id: NodeId, _hint: RepairHint) -> AffDelta {
         debug_assert!(!graph.contains(id), "commit before graph mutation");
         self.delete_node_delta(graph, id, true)
+    }
+
+    fn commit_batch(
+        &mut self,
+        graph: &mut DataGraph,
+        updates: &[DataUpdate],
+        _hint: RepairHint,
+    ) -> Result<BatchCommit, GraphError> {
+        let mut edits = BatchEdits {
+            marks: vec![0; graph.slot_count()],
+            deleted_edges: Vec::new(),
+            created: Vec::new(),
+        };
+        let mut failure = None;
+        for update in updates {
+            match graph.apply(update) {
+                Err(e) => {
+                    failure = Some(e);
+                    break;
+                }
+                Ok(created) => match *update {
+                    DataUpdate::InsertEdge { from, .. } => edits.mark(from, INSERTED_TAIL),
+                    DataUpdate::DeleteEdge { from, to } => {
+                        edits.mark(from, DELETED_TAIL);
+                        edits.deleted_edges.push((from.0, to.0));
+                    }
+                    DataUpdate::InsertNode { label } => {
+                        let id = created.expect("insert-node creates a node");
+                        edits.mark(id, CREATED_NODE);
+                        edits.created.push((id, label));
+                    }
+                    DataUpdate::DeleteNode { node } => edits.mark(node, DELETED_NODE),
+                },
+            }
+        }
+        edits.deleted_edges.sort_unstable();
+        // Repair before reporting a failure: the index must agree with
+        // the graph on the updates that were applied.
+        let delta = self.repair_batch(graph, &edits);
+        match failure {
+            Some(e) => Err(e),
+            None => Ok(BatchCommit {
+                delta,
+                created: edits.created.iter().map(|&(id, _)| id).collect(),
+            }),
+        }
     }
 
     fn resident_rows(&self) -> usize {

@@ -6,7 +6,9 @@
 //! deployment wants them *separated*: one data graph and one backend serve
 //! many standing patterns, so the graph/`SLen` commit must happen **once**
 //! per batch while plan derivation and repair run once per pattern. This
-//! module exposes exactly that seam:
+//! module exposes that seam in two shapes.
+//!
+//! **Per update** — the paper's UA-GPNM path, which `GpnmEngine` drives:
 //!
 //! 1. [`commit_data_update`] — apply one data update to the graph and
 //!    repair the backend, returning the [`CommittedUpdate`] record (the
@@ -20,20 +22,34 @@
 //!    (affected-set containment → EH-Tree) plus the survivor repair
 //!    passes, over the shared committed records.
 //!
-//! `GpnmEngine` itself drives the same functions (its `commit_data` and
-//! survivor-repair loop delegate here), so the single-pattern path and the
-//! `gpnm-service` multi-pattern path cannot drift apart.
+//! **Per batch** — the path `gpnm-service` (and through it the cluster)
+//! drives:
+//!
+//! 1. [`commit_batch`] — apply the whole reduced batch to the graph and
+//!    repair the backend once ([`SlenBackend::commit_batch`]), returning
+//!    one net delta (distances before the batch against after it) plus
+//!    the created node ids.
+//! 2. [`plan_for_batch`] (re-exported) — one net [`RepairPlan`] per
+//!    pattern, derived from the net delta against the post-batch graph.
+//! 3. [`refresh_pattern_net`] — one repair pass per pattern (or a
+//!    re-match, for the Rematch arm). One net pass replaces the EH-Tree's
+//!    survivor passes, so nothing is left to eliminate.
+//!
+//! `GpnmEngine` itself drives the per-update functions (its `commit_data`
+//! and survivor-repair loop delegate here), so the single-pattern path
+//! and the `gpnm-service` multi-pattern path share every step they have
+//! in common.
 
 use std::time::{Duration, Instant};
 
-use gpnm_distance::{AffDelta, RepairHint, SlenBackend};
+use gpnm_distance::{commit_update, AffDelta, BatchCommit, RepairHint, SlenBackend};
 use gpnm_graph::{DataGraph, NodeId, PatternGraph};
 use gpnm_matcher::{match_graph, repair, MatchResult, MatchSemantics, RepairPlan};
 use gpnm_updates::{DataUpdate, EhTree, EliminationGraph, Update, UpdateEffect};
 
 use crate::error::EngineError;
 
-pub use crate::plan_builder::{plan_for_data_update, plan_for_pattern_update};
+pub use crate::plan_builder::{plan_for_batch, plan_for_data_update, plan_for_pattern_update};
 
 /// One data update after its single shared commit: what the graph and
 /// backend absorbed, and what every pattern's detection needs to know.
@@ -68,24 +84,7 @@ pub fn commit_data_update<B: SlenBackend>(
     update: &DataUpdate,
     hint: RepairHint,
 ) -> Result<CommittedUpdate, EngineError> {
-    let (delta, created) = match *update {
-        DataUpdate::InsertEdge { from, to } => {
-            graph.add_edge(from, to)?;
-            (index.commit_insert_edge(graph, from, to, hint), None)
-        }
-        DataUpdate::DeleteEdge { from, to } => {
-            graph.remove_edge(from, to)?;
-            (index.commit_delete_edge(graph, from, to, hint), None)
-        }
-        DataUpdate::InsertNode { label } => {
-            let id = graph.add_node(label);
-            (index.commit_insert_node(graph, id, hint), Some(id))
-        }
-        DataUpdate::DeleteNode { node } => {
-            graph.remove_node(node)?;
-            (index.commit_delete_node(graph, node, hint), None)
-        }
-    };
+    let (delta, created) = commit_update(index, graph, update, hint)?;
     let kind = match *update {
         DataUpdate::InsertEdge { .. } => "insert_edge",
         DataUpdate::DeleteEdge { .. } => "delete_edge",
@@ -104,6 +103,27 @@ pub fn commit_data_update<B: SlenBackend>(
         delta,
         created,
     })
+}
+
+/// Apply a whole batch of data updates to `graph` and repair `index` once
+/// for all of them ([`SlenBackend::commit_batch`]), returning the batch's
+/// net delta and created ids. On an invalid update the graph keeps the
+/// updates before it and the index is repaired for exactly those.
+pub fn commit_batch<B: SlenBackend>(
+    graph: &mut DataGraph,
+    index: &mut B,
+    updates: &[DataUpdate],
+    hint: RepairHint,
+) -> Result<BatchCommit, EngineError> {
+    let batch = index.commit_batch(graph, updates, hint)?;
+    tracing::event!(
+        tracing::Level::TRACE,
+        "engine_commit_batch",
+        updates = updates.len(),
+        slen_changes = batch.delta.changed.len(),
+        affected = batch.delta.affected.len(),
+    );
+    Ok(batch)
 }
 
 /// Where one pattern's refresh spent its work.
@@ -324,6 +344,39 @@ pub fn refresh_pattern_strategy<B: SlenBackend>(
             }
         }
     }
+}
+
+/// Refresh one pattern after a batch commit, from its one net plan
+/// ([`plan_for_batch`]): [`crate::RefreshStrategy::Rematch`] re-matches
+/// from the post-batch index; the other arms run one repair pass (none
+/// when the plan is empty). With a single net plan there are no
+/// per-update passes left to eliminate, so both incremental arms do the
+/// same work.
+pub fn refresh_pattern_net<B: SlenBackend>(
+    strategy: crate::RefreshStrategy,
+    pattern: &PatternGraph,
+    graph: &DataGraph,
+    index: &B,
+    semantics: MatchSemantics,
+    result: &mut MatchResult,
+    plan: &RepairPlan,
+) -> RefreshStats {
+    let span = tracing::span!(
+        tracing::Level::TRACE,
+        "strategy_refresh",
+        strategy = strategy.name()
+    );
+    let _entered = span.enter();
+    let t = Instant::now();
+    let mut stats = RefreshStats::default();
+    if strategy == crate::RefreshStrategy::Rematch {
+        *result = match_graph(pattern, graph, index, semantics);
+    } else if !plan.is_empty() {
+        repair(pattern, graph, index, semantics, result, plan);
+        stats.repair_calls = 1;
+    }
+    stats.repair_time = t.elapsed();
+    stats
 }
 
 /// Run one repair pass per survivor plan, seeding the merged addition

@@ -5,7 +5,7 @@
 //! derivation so every strategy satisfies the contract the same way.
 
 use gpnm_distance::AffDelta;
-use gpnm_graph::{DataGraph, NodeId, PatternGraph, PatternNodeId};
+use gpnm_graph::{DataGraph, NodeId, NodeSet, PatternGraph, PatternNodeId};
 use gpnm_matcher::{MatchResult, RepairPlan};
 use gpnm_updates::{Candidates, DataUpdate, PatternUpdate};
 
@@ -57,6 +57,48 @@ pub fn plan_for_data_update(
     plan
 }
 
+/// One net plan for a whole committed batch, given its net delta
+/// ([`gpnm_distance::BatchCommit`]) and the post-batch graph.
+///
+/// * `verify` — the net affected nodes plus the created nodes.
+/// * additions — a pattern node may gain members only through a distance
+///   that *decreased* over the batch or a created node: it is an addition
+///   source if an endpoint of a decreased pair carries its label and is
+///   not yet matched to it, or a created node carries its label.
+///
+/// `result` is the pattern's pre-batch result.
+pub fn plan_for_batch(
+    delta: &AffDelta,
+    created: &[NodeId],
+    pattern: &PatternGraph,
+    graph: &DataGraph,
+    result: &MatchResult,
+) -> RepairPlan {
+    let mut plan = RepairPlan::new();
+    plan.verify = delta.affected.clone();
+    for &id in created {
+        plan.verify.insert(id);
+    }
+    let mut closer = NodeSet::new();
+    for &(x, y, old, new) in &delta.changed {
+        if new < old {
+            closer.insert(x);
+            closer.insert(y);
+        }
+    }
+    for u in pattern.nodes() {
+        let Some(lu) = pattern.label(u) else { continue };
+        let gains = created.iter().any(|&id| graph.label(id) == Some(lu))
+            || closer
+                .iter()
+                .any(|v| graph.label(v) == Some(lu) && !result.contains(u, v));
+        if gains {
+            plan.addition_sources.push(u);
+        }
+    }
+    plan
+}
+
 /// Plan for a pattern update, given its DER-I candidate sets.
 ///
 /// The plan must be computed against the *pre-update* pattern for
@@ -102,10 +144,10 @@ pub fn plan_for_pattern_update(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpnm_distance::IncrementalIndex;
+    use gpnm_distance::{IncrementalIndex, RepairHint, SlenBackend, SlenRequirements, SparseIndex};
     use gpnm_graph::paper::fig1;
     use gpnm_graph::Bound;
-    use gpnm_matcher::{match_graph, MatchSemantics};
+    use gpnm_matcher::{match_graph, repair, MatchSemantics};
     use gpnm_updates::candidates_for;
 
     #[test]
@@ -139,6 +181,117 @@ mod tests {
         let delta = idx.commit_delete_edge(&f.graph, f.se1, f.s1);
         let plan = plan_for_data_update(&up, &delta, &f.pattern, &f.graph, &result, None);
         assert!(plan.addition_sources.is_empty());
+    }
+
+    /// Commit `batch` to fig1 through the sparse backend's one-pass batch
+    /// commit and derive the net plan against `semantics`' initial result.
+    fn batch_plan(
+        batch: &[DataUpdate],
+        semantics: MatchSemantics,
+    ) -> (
+        gpnm_graph::paper::Fig1,
+        SparseIndex,
+        MatchResult,
+        RepairPlan,
+    ) {
+        let mut f = fig1();
+        let reqs = SlenRequirements::of_pattern(&f.pattern);
+        let mut idx = SparseIndex::build(&f.graph, &reqs);
+        let result = match_graph(&f.pattern, &f.graph, &idx, semantics);
+        let commit = idx
+            .commit_batch(&mut f.graph, batch, RepairHint::Baseline)
+            .expect("valid batch");
+        let plan = plan_for_batch(
+            &commit.delta,
+            &commit.created,
+            &f.pattern,
+            &f.graph,
+            &result,
+        );
+        (f, idx, result, plan)
+    }
+
+    #[test]
+    fn batch_plan_flags_decreases_and_repairs_to_scratch() {
+        let f = fig1();
+        let batch = [
+            DataUpdate::InsertEdge {
+                from: f.se1,
+                to: f.te2,
+            },
+            DataUpdate::DeleteEdge {
+                from: f.se1,
+                to: f.s1,
+            },
+        ];
+        let semantics = MatchSemantics::DualSimulation;
+        let (f, idx, mut result, plan) = batch_plan(&batch, semantics);
+        // As for the single insert: the shortened paths into the unmatched
+        // TE2 make p_te an addition source.
+        assert!(plan.addition_sources.contains(&f.p_te));
+        assert!(!plan.verify.is_empty());
+        repair(&f.pattern, &f.graph, &idx, semantics, &mut result, &plan);
+        assert_eq!(result, match_graph(&f.pattern, &f.graph, &idx, semantics));
+    }
+
+    #[test]
+    fn batch_plan_of_deletions_has_no_additions() {
+        let f = fig1();
+        let batch = [
+            DataUpdate::DeleteEdge {
+                from: f.se1,
+                to: f.s1,
+            },
+            DataUpdate::DeleteNode { node: f.db1 },
+        ];
+        let (_, _, _, plan) = batch_plan(&batch, MatchSemantics::Simulation);
+        assert!(plan.addition_sources.is_empty());
+        assert!(!plan.verify.is_empty());
+    }
+
+    #[test]
+    fn batch_plan_seeds_created_nodes() {
+        let f = fig1();
+        let te = f.interner.get("TE").unwrap();
+        let created = NodeId::from_index(f.graph.slot_count());
+        let batch = [
+            DataUpdate::InsertNode { label: te },
+            DataUpdate::InsertEdge {
+                from: f.s1,
+                to: created,
+            },
+        ];
+        let (f, idx, mut result, plan) = batch_plan(&batch, MatchSemantics::Simulation);
+        assert!(plan.verify.contains(created));
+        assert!(plan.addition_sources.contains(&f.p_te));
+        repair(
+            &f.pattern,
+            &f.graph,
+            &idx,
+            MatchSemantics::Simulation,
+            &mut result,
+            &plan,
+        );
+        let scratch = match_graph(&f.pattern, &f.graph, &idx, MatchSemantics::Simulation);
+        assert_eq!(result, scratch);
+        assert!(result.contains(f.p_te, created), "the newcomer matches");
+    }
+
+    #[test]
+    fn batch_plan_of_a_net_nil_batch_is_empty() {
+        let f = fig1();
+        let batch = [
+            DataUpdate::InsertEdge {
+                from: f.se1,
+                to: f.te2,
+            },
+            DataUpdate::DeleteEdge {
+                from: f.se1,
+                to: f.te2,
+            },
+        ];
+        let (_, _, _, plan) = batch_plan(&batch, MatchSemantics::Simulation);
+        assert!(plan.is_empty(), "distances ended where they started");
     }
 
     #[test]

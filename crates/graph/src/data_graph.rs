@@ -24,6 +24,35 @@ pub struct GraphVersion {
     generation: u64,
 }
 
+/// One update to the data graph (`UDi ∈ ΔGD`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum DataUpdate {
+    /// `ΔG+_DE`: insert edge `from -> to`.
+    InsertEdge {
+        /// Source node.
+        from: NodeId,
+        /// Target node.
+        to: NodeId,
+    },
+    /// `ΔG-_DE`: delete edge `from -> to`.
+    DeleteEdge {
+        /// Source node.
+        from: NodeId,
+        /// Target node.
+        to: NodeId,
+    },
+    /// `ΔG+_DN`: insert a fresh (isolated) node with `label`.
+    InsertNode {
+        /// Label of the new node.
+        label: Label,
+    },
+    /// `ΔG-_DN`: delete `node` and its incident edges.
+    DeleteNode {
+        /// The node to delete.
+        node: NodeId,
+    },
+}
+
 /// A dynamic directed graph with one [`Label`] per node.
 ///
 /// Design points driven by the UA-GPNM workload:
@@ -253,6 +282,21 @@ impl DataGraph {
         self.live_nodes += 1;
         self.generation += 1;
         id
+    }
+
+    /// Apply one [`DataUpdate`], returning the id an
+    /// [`DataUpdate::InsertNode`] created. Fails without mutating the
+    /// graph when the update is invalid against it.
+    pub fn apply(&mut self, update: &DataUpdate) -> Result<Option<NodeId>> {
+        match *update {
+            DataUpdate::InsertEdge { from, to } => self.add_edge(from, to)?,
+            DataUpdate::DeleteEdge { from, to } => self.remove_edge(from, to)?,
+            DataUpdate::InsertNode { label } => return Ok(Some(self.add_node(label))),
+            DataUpdate::DeleteNode { node } => {
+                self.remove_node(node)?;
+            }
+        }
+        Ok(None)
     }
 
     /// Delete a live node and all incident edges.

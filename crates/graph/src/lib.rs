@@ -35,7 +35,7 @@ mod stats;
 
 pub use builder::{DataGraphBuilder, PatternGraphBuilder};
 pub use csr::{CsrGraph, CsrSnapshot};
-pub use data_graph::{DataGraph, EdgeIter, GraphVersion, NodeIter, RemovedNode};
+pub use data_graph::{DataGraph, DataUpdate, EdgeIter, GraphVersion, NodeIter, RemovedNode};
 pub use error::GraphError;
 pub use ids::{NodeId, PatternNodeId};
 pub use label::{Label, LabelInterner};

@@ -264,12 +264,19 @@ fn prune_to_fixpoint<O: DistanceOracle>(
             result.set_mut(u).remove(v);
         }
         // Removal cascade: any pattern node whose checks reference u's set.
-        for &(w, _) in pattern.in_edges(u) {
+        // A cascaded visit verifies the whole set, also when it is the
+        // node's first visit: the members that relied on the removed ones
+        // need not be dirty.
+        let mut cascade = |w: PatternNodeId| {
             pending[w.index()] = true;
+            first_sweep[w.index()] = false;
+        };
+        for &(w, _) in pattern.in_edges(u) {
+            cascade(w);
         }
         if semantics.checks_predecessors() {
             for &(w, _) in pattern.out_edges(u) {
-                pending[w.index()] = true;
+                cascade(w);
             }
         }
     }
@@ -477,6 +484,59 @@ mod tests {
             &RepairPlan::new(),
         );
         assert_eq!(result, before);
+    }
+
+    #[test]
+    fn cascade_verifies_clean_members_of_a_first_visit() {
+        // Pattern C -> A -> B, each bound 1. Deleting a1 -> b1 dirties only
+        // a1 and b1: c1 still reaches b1 in two hops through x. a1 leaves
+        // A, so c1 must leave C although C's set holds no dirty node and C
+        // is visited for the first time by the cascade.
+        let (mut g, li, names) = DataGraphBuilder::new()
+            .node("a1", "A")
+            .node("b1", "B")
+            .node("c1", "C")
+            .node("x", "X")
+            .node("a2", "A")
+            .node("b2", "B")
+            .node("c2", "C")
+            .edge("a1", "b1")
+            .edge("c1", "a1")
+            .edge("c1", "x")
+            .edge("x", "b1")
+            .edge("a2", "b2")
+            .edge("c2", "a2")
+            .build()
+            .unwrap();
+        let (p, _, _) = PatternGraphBuilder::new()
+            .node("C", "C")
+            .node("A", "A")
+            .node("B", "B")
+            .edge("C", "A", 1)
+            .edge("A", "B", 1)
+            .build_with_interner(li)
+            .unwrap();
+        let mut slen = IncrementalIndex::build(&g);
+        let mut result = match_graph(&p, &g, &slen, MatchSemantics::Simulation);
+        assert_eq!(result.total_matches(), 6);
+        g.remove_edge(names["a1"], names["b1"]).unwrap();
+        let delta = slen.commit_delete_edge(&g, names["a1"], names["b1"]);
+        assert!(!delta.affected.contains(names["c1"]), "c1's distances held");
+        let mut plan = RepairPlan::new();
+        plan.verify = delta.affected.clone();
+        repair(
+            &p,
+            &g,
+            &slen,
+            MatchSemantics::Simulation,
+            &mut result,
+            &plan,
+        );
+        assert_eq!(
+            result,
+            match_graph(&p, &g, &slen, MatchSemantics::Simulation)
+        );
+        assert_eq!(result.total_matches(), 4, "a1 and c1 left; b1 stays a B");
     }
 
     #[test]

@@ -80,7 +80,9 @@ pub trait TickOutcome {
     ///   sampled from the telemetry clock;
     /// * `updates_submitted` / `updates_applied` — batch size before and
     ///   after net-effect reduction;
-    /// * `slen_changes` — distance-index entries rewritten by commits;
+    /// * `slen_changes` — distance-index entries the tick's commit changed,
+    ///   counted net: a pair changed and changed back within the batch
+    ///   does not count;
     /// * `added` / `removed` — match pairs gained/lost across all
     ///   patterns ([`TickOutcome::total_added`]/[`TickOutcome::total_removed`]);
     /// * `total_ns` — end-to-end tick wall time in nanoseconds.
@@ -96,7 +98,12 @@ pub trait TickOutcome {
     /// non-publishing host); lane counts (`refresh_lanes`, `pool_lanes`);
     /// tick counters (`strategy_switches` cumulative, `eliminated`,
     /// `repair_calls`, `affected_nodes`); index gauges (`backend_kind`,
-    /// `resident_rows`, `index_mem_bytes`); `per_pattern` — array of
+    /// `resident_rows`, `index_mem_bytes`). Both hosts commit a tick as
+    /// one batch, so `affected_nodes` is the size of the tick's net
+    /// `Aff_N` set and `eliminated` and `detect_ns` are 0: one net repair
+    /// pass per pattern replaces the EH-Tree's survivor passes. (The
+    /// single-pattern engine's `ExecStats` still report per-update
+    /// values.) Then come `per_pattern` — array of
     /// `{handle, refresh_ns, strategy}` in registration order; `io` —
     /// `{cache_hits, cache_misses, cache_evictions, pages_read,
     /// pages_written}` cumulative backend IO counters, or `null` on
@@ -207,21 +214,6 @@ pub trait PatternHost {
     /// for reader threads: views and subscriptions survive there while
     /// `&mut self` ticks proceed here.
     fn reader(&self) -> ReadFront;
-
-    /// Admission control under load: coalesce a backlog of batches into
-    /// **one** tick. The merged batch rides the tick's existing net-effect
-    /// reduction, so an insert queued behind its own deletion cancels
-    /// before any repair work is planned — k queued batches cost one
-    /// shared repair pass, not k.
-    fn apply_coalesced(&mut self, batches: &[UpdateBatch]) -> Result<Self::Report, Self::Error> {
-        let mut merged = UpdateBatch::new();
-        for batch in batches {
-            for update in batch.updates() {
-                merged.push(*update);
-            }
-        }
-        self.apply(&merged)
-    }
 }
 
 #[cfg(test)]

@@ -8,16 +8,13 @@ use gpnm_adaptive::{StrategyController, ThreadTuner, TickFeatures};
 use gpnm_distance::{
     AnyBackend, BackendKind, IoStats, PartitionedBackend, RepairHint, SlenBackend, SlenRequirements,
 };
-use gpnm_engine::pipeline::{
-    commit_data_update, plan_for_data_update, refresh_pattern_strategy, CommittedUpdate,
-    SharedElimination,
-};
+use gpnm_engine::pipeline::{commit_batch, plan_for_batch, refresh_pattern_net};
 use gpnm_engine::RefreshStrategy;
 use gpnm_graph::{DataGraph, PatternGraph};
 use gpnm_matcher::{match_graph, MatchDelta, MatchResult, MatchSemantics, RepairPlan};
 use gpnm_pool::WorkerPool;
 use gpnm_telemetry::{IoDelta, PatternRefreshSample, TickRecorder};
-use gpnm_updates::{reduce_batch, Update, UpdateBatch};
+use gpnm_updates::{reduce_batch, DataUpdate, Update, UpdateBatch};
 
 use crate::error::ServiceError;
 use crate::host::{HandleId, PatternHost, TickOutcome};
@@ -74,7 +71,9 @@ pub struct TickStats {
     /// The shared graph + `SLen` commit pass — paid once per tick, the
     /// part a per-pattern-engine deployment would pay k times.
     pub shared_repair_ns: u128,
-    /// DER-II elimination detection + EH-Tree build (also shared).
+    /// DER-II elimination detection + EH-Tree build. Always 0 on the
+    /// service and the cluster: their one net repair pass per pattern
+    /// needs no elimination analysis.
     pub detect_ns: u128,
     /// Read-front publish + subscription fan-out (`0` on a non-publishing
     /// shard replica — the cluster publishes merged views itself).
@@ -95,13 +94,14 @@ pub struct TickStats {
     /// since the controller was enabled (`0` on a fixed-strategy host).
     pub strategy_switches: u64,
     /// Updates whose repair pass the EH-Tree eliminated, summed over
-    /// patterns.
+    /// patterns. Always 0 on the service and the cluster, where one net
+    /// repair pass per pattern replaces the EH-Tree survivors.
     pub eliminated: usize,
     /// Repair passes actually run, summed over patterns.
     pub repair_calls: usize,
-    /// Nodes in the union of the committed updates' `Aff_N` sets (with
-    /// multiplicity across updates) — how much of the graph the batch
-    /// disturbed.
+    /// Nodes in the tick's net `Aff_N` set: endpoints of the pairs whose
+    /// distance differs before and after the batch — how much of the
+    /// graph the batch disturbed.
     pub affected_nodes: usize,
     /// The `SLen` backend that served the tick (`"dense"`, `"sparse"`,
     /// `"paged"`, …). Empty on a default-constructed stats value.
@@ -303,9 +303,12 @@ pub struct TickReport {
     pub updates_submitted: usize,
     /// Updates surviving net-effect reduction (the ones committed).
     pub updates_applied: usize,
-    /// Distance pairs the shared `SLen` repair changed.
+    /// Distance pairs whose value differs before and after the batch's
+    /// shared `SLen` commit (net: a pair changed and changed back does not
+    /// count).
     pub slen_changes: usize,
-    /// Per-pattern repair passes the EH-Trees eliminated, summed.
+    /// Per-pattern repair passes the EH-Trees eliminated, summed. Always
+    /// 0: one net repair pass per pattern leaves nothing to eliminate.
     pub eliminated: usize,
     /// Per-pattern repair passes run, summed.
     pub repair_calls: usize,
@@ -313,7 +316,7 @@ pub struct TickReport {
     pub reduce_time: Duration,
     /// Shared graph + `SLen` commit time (paid once, not per pattern).
     pub slen_time: Duration,
-    /// Per-pattern detection + repair + diff time, summed.
+    /// Plan derivation plus per-pattern repair and diff time.
     pub refresh_time: Duration,
     /// End-to-end wall time of the tick.
     pub total_time: Duration,
@@ -578,6 +581,9 @@ pub struct GpnmService<B: SlenBackend = PartitionedBackend> {
     front: ReadFront,
     publishing: bool,
     adaptive: Option<AdaptiveState>,
+    /// Set when a tick failed after mutating the graph: the next tick
+    /// re-matches every pattern instead of repairing it.
+    rematch_next: bool,
 }
 
 impl<B: SlenBackend + Clone> Clone for GpnmService<B> {
@@ -599,6 +605,7 @@ impl<B: SlenBackend + Clone> Clone for GpnmService<B> {
             front: ReadFront::new(),
             publishing: self.publishing,
             adaptive: self.adaptive.clone(),
+            rematch_next: self.rematch_next,
         };
         clone.republish_all();
         clone
@@ -635,6 +642,7 @@ impl<B: SlenBackend> GpnmService<B> {
             front: ReadFront::new(),
             publishing: true,
             adaptive: None,
+            rematch_next: false,
         }
     }
 
@@ -957,9 +965,11 @@ impl<B: SlenBackend> GpnmService<B> {
     /// passed on an identical replica). An invalid batch still surfaces a
     /// typed error — pattern updates are always refused mutation-free,
     /// exactly like [`GpnmService::apply`] — but an invalid *data* update
-    /// surfaces possibly after part of the batch has mutated this
-    /// service's state, so atomic refusal is the validating caller's
-    /// responsibility.
+    /// surfaces after the (reduced) updates before it have been applied,
+    /// so atomic refusal is the validating caller's responsibility. The
+    /// service stays consistent either way: the index is repaired for the
+    /// applied updates, the published results stay at the last tick, and
+    /// the next successful tick re-matches every pattern.
     pub fn apply_prevalidated(&mut self, batch: &UpdateBatch) -> Result<TickReport, ServiceError> {
         if let Some(index) = batch.first_pattern_update() {
             return Err(ServiceError::PatternUpdateInBatch { index });
@@ -999,75 +1009,63 @@ impl<B: SlenBackend> GpnmService<B> {
             self.index.prepare_accelerator(&self.graph);
         }
 
-        // The shared single pass: each surviving update mutates the graph
-        // and repairs the backend exactly once; every pattern derives its
-        // repair plan from the shared delta *at this update's post-state*,
-        // which is precisely where the single-pattern engine derives its
-        // own.
+        // The shared single pass: the whole reduced batch mutates the graph
+        // and the backend repairs once for all of it, yielding one net
+        // delta; every pattern then derives one net repair plan from it
+        // against the post-batch graph.
         let commit_span = tracing::span!(tracing::Level::DEBUG, "commit", updates = reduced.len());
         let commit_entered = commit_span.enter();
-        let mut slen_time = Duration::ZERO;
-        let mut committed: Vec<CommittedUpdate> = Vec::with_capacity(reduced.len());
-        let mut plans: Vec<Vec<RepairPlan>> = self
+        let updates: Vec<DataUpdate> = reduced
+            .updates()
+            .iter()
+            .map(|u| match u {
+                Update::Data(du) => *du,
+                Update::Pattern(_) => unreachable!("pattern updates rejected above"),
+            })
+            .collect();
+        let t = Instant::now();
+        let committed = commit_batch(&mut self.graph, &mut self.index, &updates, self.hint);
+        let slen_time = t.elapsed();
+        drop(commit_entered);
+        let committed = match committed {
+            Ok(committed) => committed,
+            Err(e) => {
+                // The graph and index hold the updates before the failing
+                // one; the results do not. Re-match them next tick.
+                self.rematch_next = true;
+                return Err(e.into());
+            }
+        };
+        let slen_changes = committed.delta.len();
+        rec.commit_ns = ns64(slen_time);
+        rec.affected_nodes = committed.delta.affected.len() as u64;
+
+        // Refresh time covers plan derivation, the adaptive step and the
+        // per-pattern repairs.
+        let t = Instant::now();
+        let plans: Vec<RepairPlan> = self
             .sessions
             .iter()
-            .map(|_| Vec::with_capacity(reduced.len()))
-            .collect();
-        for u in reduced.updates() {
-            let Update::Data(du) = u else {
-                unreachable!("pattern updates rejected above");
-            };
-            let t = Instant::now();
-            let cu = commit_data_update(&mut self.graph, &mut self.index, du, self.hint)?;
-            slen_time += t.elapsed();
-            tracing::event!(
-                tracing::Level::TRACE,
-                "update_committed",
-                affected = cu.delta.affected.len(),
-                slen_changes = cu.delta.len(),
-            );
-            for ((_, sess), pattern_plans) in self.sessions.iter().zip(plans.iter_mut()) {
-                pattern_plans.push(plan_for_data_update(
-                    du,
-                    &cu.delta,
+            .map(|(_, sess)| {
+                plan_for_batch(
+                    &committed.delta,
+                    &committed.created,
                     &sess.pattern,
                     &self.graph,
                     &sess.result,
-                    cu.created,
-                ));
-            }
-            committed.push(cu);
-        }
-        drop(commit_entered);
-        let slen_changes = committed.iter().map(|c| c.delta.len()).sum();
-        rec.commit_ns = ns64(slen_time);
-        rec.affected_nodes = committed
-            .iter()
-            .map(|c| c.delta.affected.len() as u64)
-            .sum();
-
-        // Per-pattern refresh over the shared committed records. The
-        // elimination analysis (DER-II containment + EH-Tree) consumes only
-        // the shared deltas, so it is computed once and reused by every
-        // pattern's survivor-repair pass; then delta extraction. From here
-        // the graph and index are read-only, so the per-pattern work is
-        // independent and fans out across `refresh_threads` pool lanes.
-        let t = Instant::now();
-        let shared = {
-            let span = tracing::span!(tracing::Level::DEBUG, "detect", updates = committed.len());
-            let _entered = span.enter();
-            SharedElimination::detect(&committed)
-        };
-        rec.detect_ns = ns64(shared.detect_time + shared.tree_time);
+                )
+            })
+            .collect();
 
         // Adaptive pre-refresh step: price each pattern's strategy arms
         // against this tick's known features and let the tuner set the
         // refresh parallelism from the last tick's critical path. Both
         // decisions trade cost only — every arm and lane count reaches
-        // the same fixed point.
+        // the same fixed point. An incremental arm runs one net repair
+        // pass, whatever the batch size.
         let features = TickFeatures {
-            updates: committed.len(),
-            survivors: shared.survivors().len(),
+            updates: updates.len(),
+            survivors: usize::from(!updates.is_empty()),
         };
         let switches_before = self.strategy_switches();
         let mut effective_threads = self.refresh_threads;
@@ -1097,6 +1095,8 @@ impl<B: SlenBackend> GpnmService<B> {
         }
         rec.strategy_switches = self.strategy_switches().saturating_sub(switches_before);
         rec.refresh_lanes = refresh_lanes(effective_threads, self.sessions.len());
+        // After a failed tick every pattern re-matches, whatever its arm.
+        let forced = std::mem::take(&mut self.rematch_next).then_some(RefreshStrategy::Rematch);
 
         let refresh_span =
             tracing::span!(tracing::Level::DEBUG, "refresh", lanes = rec.refresh_lanes);
@@ -1106,7 +1106,7 @@ impl<B: SlenBackend> GpnmService<B> {
             &self.index,
             &mut self.sessions,
             &plans,
-            &shared,
+            forced,
             effective_threads,
             &refresh_span,
         );
@@ -1114,12 +1114,11 @@ impl<B: SlenBackend> GpnmService<B> {
         let refresh_time = t.elapsed();
         rec.refresh_ns = ns64(refresh_time);
 
-        let mut eliminated = 0;
+        let eliminated = 0;
         let mut repair_calls = 0;
         let mut per_pattern_refresh_ns = Vec::with_capacity(outcomes.len());
         let mut deltas = Vec::with_capacity(outcomes.len());
         for outcome in outcomes {
-            eliminated += outcome.stats.eliminated;
             repair_calls += outcome.stats.repair_calls;
             per_pattern_refresh_ns.push((outcome.handle, outcome.refresh_ns));
             rec.per_pattern.push(PatternRefreshSample {
@@ -1135,7 +1134,7 @@ impl<B: SlenBackend> GpnmService<B> {
         // Adaptive post-refresh step: fold the measured per-pattern
         // timings back into each controller's cost model and remember
         // the phase totals the tuner decides against next tick.
-        if let Some(state) = &mut self.adaptive {
+        if let (Some(state), None) = (&mut self.adaptive, forced) {
             let mut total = 0u128;
             let mut max = 0u128;
             for &(handle, ns) in per_pattern_refresh_ns.iter() {
@@ -1332,13 +1331,13 @@ fn refresh_sessions<B: SlenBackend>(
     graph: &DataGraph,
     index: &B,
     sessions: &mut [(PatternHandle, PatternSession)],
-    plans: &[Vec<RepairPlan>],
-    shared: &SharedElimination,
+    plans: &[RepairPlan],
+    forced: Option<RefreshStrategy>,
     refresh_threads: usize,
     parent: &tracing::Span,
 ) -> Vec<RefreshOutcome> {
     let refresh_one = |(handle, sess): &mut (PatternHandle, PatternSession),
-                       pattern_plans: &Vec<RepairPlan>|
+                       plan: &RepairPlan|
      -> RefreshOutcome {
         // Explicit parenting: under pool fan-out this closure runs on a
         // worker thread whose contextual span stack is empty, so the
@@ -1354,21 +1353,19 @@ fn refresh_sessions<B: SlenBackend>(
         let _entered = span.enter();
         let t = Instant::now();
         let prev = sess.result.clone();
-        let stats = refresh_pattern_strategy(
-            sess.strategy,
+        let stats = refresh_pattern_net(
+            forced.unwrap_or(sess.strategy),
             &sess.pattern,
             graph,
             index,
             sess.semantics,
             &mut sess.result,
-            pattern_plans,
-            shared,
+            plan,
         );
         sess.version += 1;
         tracing::event!(
             tracing::Level::TRACE,
             "pattern_refreshed",
-            eliminated = stats.eliminated,
             repairs = stats.repair_calls,
         );
         RefreshOutcome {
@@ -1385,7 +1382,7 @@ fn refresh_sessions<B: SlenBackend>(
         return sessions
             .iter_mut()
             .zip(plans.iter())
-            .map(|(entry, pattern_plans)| refresh_one(entry, pattern_plans))
+            .map(|(entry, plan)| refresh_one(entry, plan))
             .collect();
     }
 
@@ -1404,12 +1401,12 @@ fn refresh_sessions<B: SlenBackend>(
         {
             let refresh_one = &refresh_one;
             scope.spawn(move || {
-                for ((entry, pattern_plans), slot) in session_chunk
+                for ((entry, plan), slot) in session_chunk
                     .iter_mut()
                     .zip(plan_chunk.iter())
                     .zip(slot_chunk.iter_mut())
                 {
-                    *slot = Some(refresh_one(entry, pattern_plans));
+                    *slot = Some(refresh_one(entry, plan));
                 }
             });
         }
@@ -1426,7 +1423,7 @@ mod tests {
     use gpnm_distance::SparseIndex;
     use gpnm_graph::paper::fig1;
     use gpnm_graph::GraphError;
-    use gpnm_updates::{DataUpdate, PatternUpdate};
+    use gpnm_updates::PatternUpdate;
 
     #[test]
     fn register_apply_deregister_lifecycle() {
@@ -1530,6 +1527,63 @@ mod tests {
             to: f.te2,
         });
         service.apply(&good).expect("valid batch after rejection");
+    }
+
+    #[test]
+    fn failed_prevalidated_tick_recovers_on_the_next_tick() {
+        let f = fig1();
+        let semantics = MatchSemantics::DualSimulation;
+        for kind in BackendKind::ALL {
+            let mut service = GpnmService::builder()
+                .backend(kind)
+                .build(f.graph.clone())
+                .unwrap();
+            let h = service
+                .register_pattern(f.pattern.clone(), semantics)
+                .unwrap();
+            // Under dual semantics the first insert admits TE2, but the
+            // batch fails on the duplicate edge right after it.
+            let mut batch = UpdateBatch::new();
+            batch.push(DataUpdate::InsertEdge {
+                from: f.se1,
+                to: f.te2,
+            });
+            batch.push(DataUpdate::InsertEdge {
+                from: f.pm1,
+                to: f.se2, // duplicate
+            });
+            batch.push(DataUpdate::DeleteEdge {
+                from: f.se1,
+                to: f.s1,
+            });
+            let err = service
+                .apply_prevalidated(&batch)
+                .expect_err("duplicate edge");
+            assert_eq!(
+                err,
+                ServiceError::InvalidBatch(GraphError::DuplicateEdge(f.pm1, f.se2))
+            );
+            assert!(service.graph().has_edge(f.se1, f.te2), "prefix applied");
+            assert!(service.graph().has_edge(f.se1, f.s1), "suffix not applied");
+            assert_eq!(service.tick(), 0);
+            assert_eq!(service.read_view(h).unwrap().result_version, 0);
+
+            // A follow-up tick that by itself leaves TE2 alone.
+            let mut next = UpdateBatch::new();
+            next.push(DataUpdate::DeleteNode { node: f.db1 });
+            service.apply(&next).expect("valid batch");
+            let mut fresh = GpnmService::builder()
+                .backend(kind)
+                .build(service.graph().clone())
+                .unwrap();
+            let fh = fresh
+                .register_pattern(f.pattern.clone(), semantics)
+                .unwrap();
+            let want = fresh.result(fh).unwrap();
+            assert!(want.contains(f.p_te, f.te2), "the prefix admitted TE2");
+            assert_eq!(service.result(h).unwrap(), want, "{kind:?}");
+            assert_eq!(&service.read_view(h).unwrap().result, want, "{kind:?}");
+        }
     }
 
     #[test]

@@ -238,21 +238,11 @@ pub(crate) fn apply_data(
     update: &DataUpdate,
     graph: &mut DataGraph,
 ) -> Result<AppliedUpdate, GraphError> {
-    match *update {
-        DataUpdate::InsertEdge { from, to } => {
-            graph.add_edge(from, to)?;
-            Ok(AppliedUpdate::Edge)
-        }
-        DataUpdate::DeleteEdge { from, to } => {
-            graph.remove_edge(from, to)?;
-            Ok(AppliedUpdate::Edge)
-        }
-        DataUpdate::InsertNode { label } => Ok(AppliedUpdate::CreatedData(graph.add_node(label))),
-        DataUpdate::DeleteNode { node } => {
-            graph.remove_node(node)?;
-            Ok(AppliedUpdate::RemovedData(node))
-        }
-    }
+    Ok(match (graph.apply(update)?, *update) {
+        (Some(id), _) => AppliedUpdate::CreatedData(id),
+        (None, DataUpdate::DeleteNode { node }) => AppliedUpdate::RemovedData(node),
+        (None, _) => AppliedUpdate::Edge,
+    })
 }
 
 /// Apply one pattern update.

@@ -1,6 +1,6 @@
 //! The eight update kinds of §III-C.
 
-use gpnm_graph::{Bound, Label, NodeId, PatternNodeId};
+use gpnm_graph::{Bound, Label, PatternNodeId};
 
 /// One update to the pattern graph (`UPi ∈ ΔGP`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,34 +36,9 @@ pub enum PatternUpdate {
     },
 }
 
-/// One update to the data graph (`UDi ∈ ΔGD`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DataUpdate {
-    /// `ΔG+_DE`: insert edge `from -> to`.
-    InsertEdge {
-        /// Source node.
-        from: NodeId,
-        /// Target node.
-        to: NodeId,
-    },
-    /// `ΔG-_DE`: delete edge `from -> to`.
-    DeleteEdge {
-        /// Source node.
-        from: NodeId,
-        /// Target node.
-        to: NodeId,
-    },
-    /// `ΔG+_DN`: insert a fresh (isolated) node with `label`.
-    InsertNode {
-        /// Label of the new node.
-        label: Label,
-    },
-    /// `ΔG-_DN`: delete `node` and its incident edges.
-    DeleteNode {
-        /// The node to delete.
-        node: NodeId,
-    },
-}
+// Data updates are plain graph edits, so the type lives next to
+// `DataGraph::apply` in `gpnm-graph`; re-exported here with the other kinds.
+pub use gpnm_graph::DataUpdate;
 
 /// An update to either graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,6 +96,7 @@ impl From<DataUpdate> for Update {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpnm_graph::NodeId;
 
     #[test]
     fn codes_cover_all_eight_kinds() {
