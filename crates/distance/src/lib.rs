@@ -25,12 +25,14 @@
 //! * [`SparseIndex`] — the bounded-row sparse backend: truncated BFS rows
 //!   for pattern-labeled sources only, `O(candidate rows × bounded ball)`
 //!   memory instead of `O(n²)` — the backend that unlocks 100k+-node
-//!   graphs.
-//! * [`PagedIndex`] — the out-of-core backend: the same sparse rows
-//!   serialized into fixed-size pages of a spill file, with a
-//!   byte-budgeted hot-row cache in front. Memory is
-//!   `O(row directory + cache budget)` however many rows are resident —
-//!   the backend for 10M+-node graphs under a hard memory ceiling.
+//!   graphs. Its repair algorithms are written once, generic over the row
+//!   store: [`VecStore`] (the default) keeps the rows on the heap.
+//! * [`PagedIndex`] — the out-of-core backend, `SparseIndex<PagedStore>`:
+//!   the same algorithms over [`PagedStore`], which serializes the rows
+//!   into fixed-size pages of a spill file with a byte-budgeted hot-row
+//!   cache in front. Memory is `O(row directory + cache budget)` however
+//!   many rows are resident — the backend for 10M+-node graphs under a
+//!   hard memory ceiling.
 //!
 //! ## Choosing a backend
 //!
@@ -46,7 +48,8 @@
 //!   ~50k nodes; patterns with unbounded (`*`) edges fall back to full
 //!   (untruncated) rows for candidate sources.
 //! * **paged** ([`PagedIndex`]) — the sparse rows spilled to disk, hot rows
-//!   cached under a byte budget. Identical deltas and answers to sparse;
+//!   cached under a byte budget. The sparse code over another row store,
+//!   so deltas and answers are identical to sparse;
 //!   choose it when even the sparse index outgrows RAM, and size the
 //!   working set with the service's `cache_budget_mb` (or the backend's
 //!   [`PagedIndex::set_cache_budget`]).
@@ -93,11 +96,11 @@ pub use oracle::DistanceOracle;
 #[cfg(gpnm_loom)]
 #[doc(hidden)]
 pub use paged::loom_model;
-pub use paged::{PagedConfig, PagedIndex};
+pub use paged::{PagedConfig, PagedIndex, PagedStore};
 pub use pager::DEFAULT_PAGE_SIZE;
 pub use partition::{Partition, PartitionId};
 pub use partitioned::{paper_literal, PartitionedIndex};
-pub use sparse::SparseIndex;
+pub use sparse::{SparseIndex, VecStore};
 
 /// Infinity: no path. `u32::MAX`, so every finite distance compares below.
 pub const INF: u32 = u32::MAX;

@@ -167,11 +167,6 @@ impl PageFile {
         self.page_size
     }
 
-    /// Total pages the file has grown to (its size high-water mark).
-    pub(crate) fn page_count(&self) -> u64 {
-        self.pages
-    }
-
     /// Pages currently on the free list.
     #[cfg(test)]
     pub(crate) fn free_pages(&self) -> usize {
@@ -362,7 +357,7 @@ mod tests {
         let b = f.write_row(&row(4, 50));
         assert_eq!(a.start / 64, 0);
         assert_eq!(b.start / 64, 0);
-        assert_eq!(f.page_count(), 1);
+        assert_eq!(f.pages, 1);
         // A 5-entry row no longer fits the remainder: new page.
         let c = f.write_row(&row(5, 90));
         assert_eq!(c.start / 64, 1);
@@ -374,7 +369,7 @@ mod tests {
         let big = row(20, 0); // 160 bytes = 3 pages of 64
         let loc = f.write_row(&big);
         assert_eq!(loc.start % 64, 0, "large rows start page-aligned");
-        assert_eq!(f.page_count(), 3);
+        assert_eq!(f.pages, 3);
         assert_eq!(f.read_row(loc), big);
     }
 
@@ -382,11 +377,11 @@ mod tests {
     fn freed_pages_are_recycled() {
         let mut f = PageFile::create(64);
         let a = f.write_row(&row(8, 0)); // fills page 0 exactly
-        let pages_after_a = f.page_count();
+        let pages_after_a = f.pages;
         f.free_row(a);
         assert_eq!(f.free_pages(), 1);
         let b = f.write_row(&row(8, 50));
-        assert_eq!(f.page_count(), pages_after_a, "page 0 was reused");
+        assert_eq!(f.pages, pages_after_a, "page 0 was reused");
         assert_eq!(b.start, a.start);
         assert_eq!(f.free_pages(), 0);
     }
@@ -405,7 +400,7 @@ mod tests {
         let mut f = PageFile::create(64);
         f.write_row(&row(8, 0));
         f.reset();
-        assert_eq!(f.page_count(), 0);
+        assert_eq!(f.pages, 0);
         assert_eq!(f.free_pages(), 0);
         let loc = f.write_row(&row(2, 0));
         assert_eq!(loc.start, 0);

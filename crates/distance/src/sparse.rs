@@ -73,22 +73,47 @@
 //! with distances `> B` mapped to ∞ — exactly the projection the matcher
 //! observes, which is what the backend-equivalence proptest suite asserts
 //! record-for-record against [`crate::IncrementalIndex`].
+//!
+//! ## Row stores
+//!
+//! The algorithms above touch rows only through a small crate-private
+//! row-store trait: fetch a row for repair, look a distance up through
+//! `&self`, put, update or remove a row, iterate and grow the slots, and
+//! reset all rows at once for a build. Two
+//! stores implement it, and each algorithm exists once for both:
+//!
+//! * [`VecStore`] (the default) keeps every resident row on the heap —
+//!   the `sparse` backend.
+//! * [`crate::PagedStore`] keeps them in spill-file pages behind a
+//!   byte-budgeted hot-row cache — the `paged` backend:
+//!   [`crate::PagedIndex`] is `SparseIndex<PagedStore>`.
+//!
+//! Both grow their slot vectors with one policy, `grow_with_slack`, which
+//! avoids the doubling transient that a 10M-node graph under a hard
+//! address-space ceiling cannot afford.
 
 use gpnm_graph::{CsrGraph, CsrSnapshot, DataGraph, DataUpdate, GraphError, Label, NodeId};
 
 use crate::aff::AffDelta;
-use crate::backend::{BatchCommit, RepairHint, SlenBackend, SlenRequirements};
+use crate::backend::{BatchCommit, CostHints, IoStats, RepairHint, SlenBackend, SlenRequirements};
 use crate::oracle::DistanceOracle;
 use crate::{sat_add, INF};
 
-/// One resident row: `(target slot, distance)` sorted by slot. Shared with
-/// the paged backend, whose on-disk rows are these vectors serialized.
+/// One resident row: `(target slot, distance)` sorted by slot. Both row
+/// stores hold these; [`crate::PagedStore`] serializes them to disk.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct SparseRow {
+pub struct SparseRow {
     pub(crate) entries: Vec<(u32, u32)>,
 }
 
 impl SparseRow {
+    /// The row of a source with no out-edges: itself at distance 0.
+    fn isolated(x: NodeId) -> Self {
+        SparseRow {
+            entries: vec![(x.0, 0)],
+        }
+    }
+
     #[inline]
     pub(crate) fn get(&self, slot: u32) -> Option<u32> {
         self.entries
@@ -254,25 +279,208 @@ impl BatchEdits {
     }
 }
 
-/// Bounded-row sparse `SLen` index over candidate sources only.
+/// Grow a slot-aligned vector to `n` elements without the doubling
+/// transient. `Vec::resize` grows by doubling, which at 10M+ slots
+/// allocates a second quarter-GiB buffer while the old one is still
+/// live — enough to blow a tight address-space budget on a single
+/// node insert. Reserving ~1.5% headroom past `n` instead keeps a
+/// long run of single-slot commits realloc-free and bounds the
+/// transient to the exact new size.
+pub(crate) fn grow_with_slack<T>(v: &mut Vec<T>, n: usize, fill: impl FnMut() -> T) {
+    if n > v.capacity() {
+        v.reserve_exact(n + n / 64 + 16 - v.len());
+    }
+    if v.len() < n {
+        v.resize_with(n, fill);
+    }
+}
+
+/// The sources `reqs` implies in `graph`, in requirement-label order.
+fn required_sources<'a>(
+    reqs: &'a SlenRequirements,
+    graph: &'a DataGraph,
+) -> impl Iterator<Item = NodeId> + 'a {
+    reqs.labels()
+        .iter()
+        .flat_map(|&label| graph.nodes_with_label(label))
+        .copied()
+}
+
+/// Where a [`SparseIndex`] keeps its rows: exactly the row operations the
+/// repair algorithms perform. Slots are node indices. Not nameable outside
+/// the crate, so [`VecStore`] and [`crate::PagedStore`] are the only
+/// implementations.
+pub trait RowStore: Default + Clone + std::fmt::Debug + Send + Sync {
+    /// The backend name [`SlenBackend::kind`] reports.
+    const KIND: &'static str;
+
+    /// Addressable slots, resident or not.
+    fn slots(&self) -> usize;
+
+    /// Make slots `0..n` addressable.
+    fn grow(&mut self, n: usize);
+
+    /// Whether `slot` holds a row. Reads no row.
+    fn is_resident(&self, slot: usize) -> bool;
+
+    /// `slot`'s row for the `&mut` repair paths, `None` if not resident.
+    fn fetch(&mut self, slot: usize) -> Option<&SparseRow>;
+
+    /// `d(u, v)` through a shared borrow — the matcher's hot path.
+    fn distance(&self, u: NodeId, v: NodeId) -> u32;
+
+    /// Set `slot`'s row, resident or not.
+    fn put(&mut self, slot: usize, row: SparseRow);
+
+    /// Mutate `slot`'s resident row in place.
+    fn update(&mut self, slot: usize, f: impl FnOnce(&mut SparseRow));
+
+    /// Drop `slot`'s row, if any.
+    fn remove(&mut self, slot: usize);
+
+    /// Replace every row with `rows` — the bulk build. A store with a
+    /// cache leaves it cold: the rows warm on use.
+    fn reset(&mut self, rows: impl Iterator<Item = (usize, SparseRow)>);
+
+    /// See [`SlenBackend::mem_bytes`].
+    fn mem_bytes(&self) -> usize;
+
+    /// See [`SlenBackend::io_stats`].
+    fn io_stats(&self) -> Option<IoStats> {
+        None
+    }
+
+    /// See [`SlenBackend::cost_hints`].
+    fn cost_hints(&self) -> CostHints {
+        CostHints::default()
+    }
+}
+
+/// The in-memory row store: one heap vector per resident row. The
+/// default store of [`SparseIndex`].
+#[derive(Debug, Clone, Default)]
+pub struct VecStore {
+    /// Slot-indexed rows (`None` = not a candidate source).
+    rows: Vec<Option<SparseRow>>,
+}
+
+impl RowStore for VecStore {
+    const KIND: &'static str = "sparse";
+
+    fn slots(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn grow(&mut self, n: usize) {
+        grow_with_slack(&mut self.rows, n, || None);
+    }
+
+    fn is_resident(&self, slot: usize) -> bool {
+        self.rows.get(slot).is_some_and(Option::is_some)
+    }
+
+    #[inline]
+    fn fetch(&mut self, slot: usize) -> Option<&SparseRow> {
+        self.rows.get(slot)?.as_ref()
+    }
+
+    #[inline]
+    fn distance(&self, u: NodeId, v: NodeId) -> u32 {
+        self.rows
+            .get(u.index())
+            .and_then(|r| r.as_ref())
+            .and_then(|r| r.get(v.0))
+            .unwrap_or(INF)
+    }
+
+    fn put(&mut self, slot: usize, row: SparseRow) {
+        self.rows[slot] = Some(row);
+    }
+
+    fn update(&mut self, slot: usize, f: impl FnOnce(&mut SparseRow)) {
+        f(self.rows[slot].as_mut().expect("resident row"));
+    }
+
+    fn remove(&mut self, slot: usize) {
+        self.rows[slot] = None;
+    }
+
+    fn reset(&mut self, rows: impl Iterator<Item = (usize, SparseRow)>) {
+        self.rows.iter_mut().for_each(|r| *r = None);
+        for (slot, row) in rows {
+            self.rows[slot] = Some(row);
+        }
+    }
+
+    fn mem_bytes(&self) -> usize {
+        // Capacity, not len: `apply_sorted_updates` and `retain` leave slack
+        // in row vectors, and the slot vector itself over-allocates on
+        // growth. `max_index_gb` admission and `LeastLoaded` placement
+        // compare against the real allocation, not the live entry count.
+        self.rows.capacity() * std::mem::size_of::<Option<SparseRow>>()
+            + self
+                .rows
+                .iter()
+                .flatten()
+                .map(|r| r.entries.capacity())
+                .sum::<usize>()
+                * std::mem::size_of::<(u32, u32)>()
+    }
+}
+
+/// Bounded-row sparse `SLen` index over candidate sources only, generic
+/// over where its rows live: in memory ([`VecStore`], the default) or in
+/// spill-file pages behind a hot-row cache ([`crate::PagedIndex`]).
 ///
 /// [`DistanceOracle::distance`] answers [`INF`] for any pair outside the
 /// resident projection — sound for every consumer in this workspace
 /// because they all source distance queries at pattern-labeled nodes (see
 /// the module docs), but *not* a general-purpose APSP oracle.
 #[derive(Debug, Clone)]
-pub struct SparseIndex {
+pub struct SparseIndex<S: RowStore = VecStore> {
     /// The covered requirement set (source labels + truncation depth) —
     /// the single source of truth for what is resident.
     reqs: SlenRequirements,
-    /// Slot-indexed resident rows (`None` = not a candidate source).
-    rows: Vec<Option<SparseRow>>,
+    /// The rows, slot-indexed (non-resident = not a candidate source).
+    pub(crate) store: S,
     snapshot: CsrSnapshot,
     dist_buf: Vec<u32>,
     queue_buf: Vec<NodeId>,
 }
 
 impl SparseIndex {
+    /// Build an in-memory index of `graph` covering `reqs`. Inherent so
+    /// that `SparseIndex::build` names the default store without a type
+    /// annotation.
+    pub fn build(graph: &DataGraph, reqs: &SlenRequirements) -> Self {
+        <Self as SlenBackend>::build(graph, reqs)
+    }
+
+    /// Total `(target, dist)` entries across all resident rows.
+    pub fn entry_count(&self) -> usize {
+        self.store
+            .rows
+            .iter()
+            .flatten()
+            .map(|r| r.entries.len())
+            .sum()
+    }
+}
+
+impl<S: RowStore> SparseIndex<S> {
+    /// Build over `store` (emptied first) covering `reqs`.
+    pub(crate) fn with_store(graph: &DataGraph, reqs: &SlenRequirements, store: S) -> Self {
+        let mut index = SparseIndex {
+            reqs: reqs.clone(),
+            store,
+            snapshot: CsrSnapshot::new(),
+            dist_buf: Vec::new(),
+            queue_buf: Vec::new(),
+        };
+        index.materialize_all(graph);
+        index
+    }
+
     /// The truncation depth currently honored ([`INF`] = untruncated).
     pub fn depth(&self) -> u32 {
         self.reqs.depth()
@@ -283,22 +491,100 @@ impl SparseIndex {
         self.reqs.labels()
     }
 
-    /// Total `(target, dist)` entries across all resident rows.
-    pub fn entry_count(&self) -> usize {
-        self.rows.iter().flatten().map(|r| r.entries.len()).sum()
-    }
-
     fn required(&self, label: Option<Label>) -> bool {
         label.is_some_and(|l| self.reqs.labels().binary_search(&l).is_ok())
     }
 
     fn ensure_slots(&mut self, graph: &DataGraph) {
         let n = graph.slot_count();
-        if self.rows.len() < n {
-            self.rows.resize(n, None);
+        self.store.grow(n);
+        grow_with_slack(&mut self.dist_buf, n, || INF);
+    }
+
+    /// The resident sources, in slot order.
+    fn resident(&self) -> Vec<NodeId> {
+        (0..self.store.slots())
+            .filter(|&i| self.store.is_resident(i))
+            .map(NodeId::from_index)
+            .collect()
+    }
+
+    /// The required sources without a row.
+    fn missing_required(&self, graph: &DataGraph) -> Vec<NodeId> {
+        required_sources(&self.reqs, graph)
+            .filter(|x| !self.store.is_resident(x.index()))
+            .collect()
+    }
+
+    /// `pick` over every resident row in slot order, keeping its answers.
+    /// The one full pass a repair makes over the rows.
+    fn scan<T>(&mut self, mut pick: impl FnMut(NodeId, &SparseRow) -> Option<T>) -> Vec<T> {
+        let mut picked = Vec::new();
+        for i in 0..self.store.slots() {
+            if let Some(row) = self.store.fetch(i) {
+                picked.extend(pick(NodeId::from_index(i), row));
+            }
         }
-        if self.dist_buf.len() < n {
-            self.dist_buf.resize(n, INF);
+        picked
+    }
+
+    /// Store a fresh truncated BFS row for every source in `todo`.
+    fn put_bfs_rows(&mut self, graph: &DataGraph, todo: &[NodeId]) {
+        if todo.is_empty() {
+            return;
+        }
+        let depth = self.reqs.depth();
+        let Self {
+            store,
+            snapshot,
+            dist_buf,
+            queue_buf,
+            ..
+        } = self;
+        let csr = snapshot.get(graph);
+        for &x in todo {
+            let row = bfs_truncated(csr, x, depth, Skip::Nothing, dist_buf, queue_buf);
+            store.put(x.index(), row);
+        }
+    }
+
+    /// Re-run the truncated BFS (honoring `skip`) of every resident source
+    /// in `todo` and record how each row changed. With `commit` the new
+    /// rows replace the old, and a source gone from the graph loses its
+    /// row (every entry reads [`INF`]).
+    fn rerun_rows(
+        &mut self,
+        graph: &DataGraph,
+        todo: &[NodeId],
+        skip: Skip,
+        commit: bool,
+        delta: &mut AffDelta,
+    ) {
+        if todo.is_empty() {
+            return;
+        }
+        let depth = self.reqs.depth();
+        let Self {
+            store,
+            snapshot,
+            dist_buf,
+            queue_buf,
+            ..
+        } = self;
+        let csr = snapshot.get(graph);
+        let gone = SparseRow::default();
+        for &x in todo {
+            let new_row = graph
+                .contains(x)
+                .then(|| bfs_truncated(csr, x, depth, skip, dist_buf, queue_buf));
+            let old_row = store.fetch(x.index()).expect("candidate is resident");
+            diff_rows(x, old_row, new_row.as_ref().unwrap_or(&gone), delta);
+            if commit {
+                match new_row {
+                    Some(row) => store.put(x.index(), row),
+                    None => store.remove(x.index()),
+                }
+            }
         }
     }
 
@@ -308,26 +594,16 @@ impl SparseIndex {
         let depth = self.reqs.depth();
         let Self {
             reqs,
-            rows,
+            store,
             snapshot,
             dist_buf,
             queue_buf,
-            ..
         } = self;
-        rows.iter_mut().for_each(|r| *r = None);
         let csr = snapshot.get(graph);
-        for &label in reqs.labels() {
-            for &x in graph.nodes_with_label(label) {
-                rows[x.index()] = Some(bfs_truncated(
-                    csr,
-                    x,
-                    depth,
-                    Skip::Nothing,
-                    dist_buf,
-                    queue_buf,
-                ));
-            }
-        }
+        store.reset(required_sources(reqs, graph).map(|x| {
+            let row = bfs_truncated(csr, x, depth, Skip::Nothing, dist_buf, queue_buf);
+            (x.index(), row)
+        }));
     }
 
     /// Shared insert-edge repair: the truncated analogue of the dense
@@ -349,22 +625,16 @@ impl SparseIndex {
         // within the horizon. Needs only row lookups, so the (much more
         // expensive) BFS row of `v` is skipped entirely for the common
         // no-candidate insert.
-        let candidates: Vec<(usize, u32)> = self
-            .rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| {
-                let row = r.as_ref()?;
-                let through = sat_add(row.get(u.0)?, 1);
-                let within = through <= depth && through < row.get(v.0).unwrap_or(INF);
-                within.then_some((i, through))
-            })
-            .collect();
+        let candidates = self.scan(|x, row| {
+            let through = sat_add(row.get(u.0)?, 1);
+            let within = through <= depth && through < row.get(v.0).unwrap_or(INF);
+            within.then_some((x, through))
+        });
         if candidates.is_empty() {
             return delta;
         }
         let Self {
-            rows,
+            store,
             snapshot,
             dist_buf,
             queue_buf,
@@ -373,10 +643,8 @@ impl SparseIndex {
         let csr = snapshot.get(graph);
         let vrow = bfs_truncated(csr, v, depth, Skip::Nothing, dist_buf, queue_buf);
         let mut updates: Vec<(u32, u32)> = Vec::new();
-        for (i, through) in candidates {
-            let row_slot = &mut rows[i];
-            let row = row_slot.as_ref().expect("candidate is resident");
-            let x = NodeId::from_index(i);
+        for (x, through) in candidates {
+            let row = store.fetch(x.index()).expect("candidate is resident");
             updates.clear();
             for &(y, dvy) in &vrow.entries {
                 let cand = sat_add(through, dvy);
@@ -392,28 +660,10 @@ impl SparseIndex {
                 }
             }
             if commit && !updates.is_empty() {
-                row_slot
-                    .as_mut()
-                    .expect("resident row")
-                    .apply_sorted_updates(&updates);
+                store.update(x.index(), |row| row.apply_sorted_updates(&updates));
             }
         }
         delta
-    }
-
-    /// Resident sources whose shortest path to `v` may run through the
-    /// edge `(u, v)` — the truncated delete-candidate test.
-    fn delete_edge_candidates(&self, u: NodeId, v: NodeId) -> Vec<NodeId> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| {
-                let row = r.as_ref()?;
-                let dxu = row.get(u.0)?;
-                let dxv = row.get(v.0)?;
-                (sat_add(dxu, 1) == dxv).then(|| NodeId::from_index(i))
-            })
-            .collect()
     }
 
     fn delete_edge_delta(
@@ -424,16 +674,10 @@ impl SparseIndex {
         commit: bool,
     ) -> AffDelta {
         self.ensure_slots(graph);
-        let candidates = self.delete_edge_candidates(u, v);
-        let depth = self.reqs.depth();
-        let Self {
-            rows,
-            snapshot,
-            dist_buf,
-            queue_buf,
-            ..
-        } = self;
-        let csr = snapshot.get(graph);
+        // Resident sources whose shortest path to `v` may run through the
+        // edge `(u, v)` — the truncated delete-candidate test.
+        let candidates =
+            self.scan(|x, row| (sat_add(row.get(u.0)?, 1) == row.get(v.0)?).then_some(x));
         // Probe: the edge is still present, skip it. Commit: already gone.
         let skip = if commit {
             Skip::Nothing
@@ -441,18 +685,29 @@ impl SparseIndex {
             Skip::Edge(u, v)
         };
         let mut delta = AffDelta::new();
-        for x in candidates {
-            let new_row = bfs_truncated(csr, x, depth, skip, dist_buf, queue_buf);
-            diff_rows(
-                x,
-                rows[x.index()].as_ref().expect("candidate is resident"),
-                &new_row,
-                &mut delta,
-            );
+        self.rerun_rows(graph, &candidates, skip, commit, &mut delta);
+        delta
+    }
+
+    fn delete_node_delta(&mut self, graph: &DataGraph, id: NodeId, commit: bool) -> AffDelta {
+        self.ensure_slots(graph);
+        let sources = self.scan(|x, row| (x != id && row.get(id.0).is_some()).then_some(x));
+        let mut delta = AffDelta::new();
+        // The node's own row: every entry becomes INF.
+        if let Some(row) = self.store.fetch(id.index()) {
+            for &(y, d) in &row.entries {
+                delta.record(id, NodeId(y), d, INF);
+            }
             if commit {
-                rows[x.index()] = Some(new_row);
+                self.store.remove(id.index());
             }
         }
+        let skip = if commit {
+            Skip::Nothing
+        } else {
+            Skip::Node(id)
+        };
+        self.rerun_rows(graph, &sources, skip, commit, &mut delta);
         delta
     }
 
@@ -465,132 +720,36 @@ impl SparseIndex {
         // exactly as `commit_insert_node` leaves it.
         for &(id, label) in &edits.created {
             if self.required(Some(label)) {
-                self.rows[id.index()] = Some(SparseRow {
-                    entries: vec![(id.0, 0)],
-                });
+                self.store.put(id.index(), SparseRow::isolated(id));
             }
         }
-        let todo: Vec<NodeId> = self
-            .rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| {
-                let row = r.as_ref()?;
-                let created = edits.marks.get(i).is_some_and(|m| m & CREATED_NODE != 0);
-                (created || edits.is_candidate(row, depth)).then(|| NodeId::from_index(i))
-            })
-            .collect();
+        let todo = self.scan(|x, row| {
+            let created = edits
+                .marks
+                .get(x.index())
+                .is_some_and(|m| m & CREATED_NODE != 0);
+            (created || edits.is_candidate(row, depth)).then_some(x)
+        });
         let mut delta = AffDelta::new();
-        if todo.is_empty() {
-            return delta;
-        }
-        let Self {
-            rows,
-            snapshot,
-            dist_buf,
-            queue_buf,
-            ..
-        } = self;
-        let csr = snapshot.get(graph);
-        let gone = SparseRow::default();
-        for x in todo {
-            let new_row = if graph.contains(x) {
-                Some(bfs_truncated(
-                    csr,
-                    x,
-                    depth,
-                    Skip::Nothing,
-                    dist_buf,
-                    queue_buf,
-                ))
-            } else {
-                None
-            };
-            let old_row = rows[x.index()].as_ref().expect("candidate is resident");
-            diff_rows(x, old_row, new_row.as_ref().unwrap_or(&gone), &mut delta);
-            rows[x.index()] = new_row;
-        }
-        delta
-    }
-
-    fn delete_node_delta(&mut self, graph: &DataGraph, id: NodeId, commit: bool) -> AffDelta {
-        self.ensure_slots(graph);
-        let sources: Vec<NodeId> = self
-            .rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| {
-                let row = r.as_ref()?;
-                (i != id.index() && row.get(id.0).is_some()).then(|| NodeId::from_index(i))
-            })
-            .collect();
-        let depth = self.reqs.depth();
-        let Self {
-            rows,
-            snapshot,
-            dist_buf,
-            queue_buf,
-            ..
-        } = self;
-        let mut delta = AffDelta::new();
-        // The node's own row: every entry becomes INF.
-        if let Some(row) = rows[id.index()].as_ref() {
-            for &(y, d) in &row.entries {
-                delta.record(id, NodeId(y), d, INF);
-            }
-            if commit {
-                rows[id.index()] = None;
-            }
-        }
-        let csr = snapshot.get(graph);
-        let skip = if commit {
-            Skip::Nothing
-        } else {
-            Skip::Node(id)
-        };
-        for x in sources {
-            let new_row = bfs_truncated(csr, x, depth, skip, dist_buf, queue_buf);
-            diff_rows(
-                x,
-                rows[x.index()].as_ref().expect("source is resident"),
-                &new_row,
-                &mut delta,
-            );
-            if commit {
-                rows[x.index()] = Some(new_row);
-            }
-        }
+        self.rerun_rows(graph, &todo, Skip::Nothing, true, &mut delta);
         delta
     }
 }
 
-impl DistanceOracle for SparseIndex {
+impl<S: RowStore> DistanceOracle for SparseIndex<S> {
     #[inline]
     fn distance(&self, u: NodeId, v: NodeId) -> u32 {
-        self.rows
-            .get(u.index())
-            .and_then(|r| r.as_ref())
-            .and_then(|r| r.get(v.0))
-            .unwrap_or(INF)
+        self.store.distance(u, v)
     }
 }
 
-impl SlenBackend for SparseIndex {
+impl<S: RowStore> SlenBackend for SparseIndex<S> {
     fn kind(&self) -> &'static str {
-        "sparse"
+        S::KIND
     }
 
     fn build(graph: &DataGraph, reqs: &SlenRequirements) -> Self {
-        let n = graph.slot_count();
-        let mut index = SparseIndex {
-            reqs: reqs.clone(),
-            rows: vec![None; n],
-            snapshot: CsrSnapshot::new(),
-            dist_buf: vec![INF; n],
-            queue_buf: Vec::new(),
-        };
-        index.materialize_all(graph);
-        index
+        Self::with_store(graph, reqs, S::default())
     }
 
     fn rebuild(&mut self, graph: &DataGraph, reqs: &SlenRequirements) {
@@ -611,58 +770,11 @@ impl SlenBackend for SparseIndex {
             return;
         }
         self.reqs.absorb(reqs);
-        let depth = self.reqs.depth();
-        if deeper {
-            // Every resident row was truncated too early: re-run them all
-            // at the new horizon.
-            let Self {
-                rows,
-                snapshot,
-                dist_buf,
-                queue_buf,
-                ..
-            } = self;
-            let csr = snapshot.get(graph);
-            for (i, row_slot) in rows.iter_mut().enumerate() {
-                if row_slot.is_some() {
-                    *row_slot = Some(bfs_truncated(
-                        csr,
-                        NodeId::from_index(i),
-                        depth,
-                        Skip::Nothing,
-                        dist_buf,
-                        queue_buf,
-                    ));
-                }
-            }
-        }
-        if widened {
-            // Materialize the newly required sources (existing rows are
-            // already at the right depth).
-            let Self {
-                reqs,
-                rows,
-                snapshot,
-                dist_buf,
-                queue_buf,
-                ..
-            } = self;
-            let csr = snapshot.get(graph);
-            for &label in reqs.labels() {
-                for &x in graph.nodes_with_label(label) {
-                    if rows[x.index()].is_none() {
-                        rows[x.index()] = Some(bfs_truncated(
-                            csr,
-                            x,
-                            depth,
-                            Skip::Nothing,
-                            dist_buf,
-                            queue_buf,
-                        ));
-                    }
-                }
-            }
-        }
+        // A deeper horizon re-runs every resident row (each was truncated
+        // too early); a wider label set adds the newly required sources.
+        let mut todo = if deeper { self.resident() } else { Vec::new() };
+        todo.extend(self.missing_required(graph));
+        self.put_bfs_rows(graph, &todo);
     }
 
     fn narrow_requirements(&mut self, graph: &DataGraph, reqs: &SlenRequirements) {
@@ -674,58 +786,22 @@ impl SlenBackend for SparseIndex {
         let shallower = reqs.depth() < self.reqs.depth();
         self.reqs = reqs.clone();
         let depth = self.reqs.depth();
-        let Self {
-            reqs,
-            rows,
-            snapshot,
-            dist_buf,
-            queue_buf,
-            ..
-        } = self;
-        let required =
-            |label: Option<Label>| label.is_some_and(|l| reqs.labels().binary_search(&l).is_ok());
         // Drop rows whose source label left the requirement set. A shrunken
         // horizon needs no BFS: a depth-B truncated row is exactly the full
         // row filtered to `d ≤ B`, so retaining the near entries of a
         // deeper row *is* the shallower row.
-        for (i, slot) in rows.iter_mut().enumerate() {
-            let Some(row) = slot.as_mut() else { continue };
-            if !required(graph.label(NodeId::from_index(i))) {
-                *slot = None;
+        for x in self.resident() {
+            if !self.required(graph.label(x)) {
+                self.store.remove(x.index());
             } else if shallower {
-                row.entries.retain(|&(_, d)| d <= depth);
+                self.store
+                    .update(x.index(), |row| row.entries.retain(|&(_, d)| d <= depth));
             }
         }
         // A deeper horizon (or a label the old set lacked) needs fresh BFS.
-        let mut todo: Vec<NodeId> = Vec::new();
-        if deeper {
-            todo.extend(
-                rows.iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.is_some())
-                    .map(|(i, _)| NodeId::from_index(i)),
-            );
-        }
-        for &label in reqs.labels() {
-            for &x in graph.nodes_with_label(label) {
-                if rows[x.index()].is_none() {
-                    todo.push(x);
-                }
-            }
-        }
-        if !todo.is_empty() {
-            let csr = snapshot.get(graph);
-            for x in todo {
-                rows[x.index()] = Some(bfs_truncated(
-                    csr,
-                    x,
-                    depth,
-                    Skip::Nothing,
-                    dist_buf,
-                    queue_buf,
-                ));
-            }
-        }
+        let mut todo = if deeper { self.resident() } else { Vec::new() };
+        todo.extend(self.missing_required(graph));
+        self.put_bfs_rows(graph, &todo);
     }
 
     fn probe_insert_edge(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
@@ -768,10 +844,7 @@ impl SlenBackend for SparseIndex {
     fn commit_insert_node(&mut self, graph: &DataGraph, id: NodeId, _hint: RepairHint) -> AffDelta {
         self.ensure_slots(graph);
         if self.required(graph.label(id)) {
-            // An isolated newcomer's row is just itself at distance 0.
-            self.rows[id.index()] = Some(SparseRow {
-                entries: vec![(id.0, 0)],
-            });
+            self.store.put(id.index(), SparseRow::isolated(id));
         }
         AffDelta::new()
     }
@@ -828,22 +901,21 @@ impl SlenBackend for SparseIndex {
     }
 
     fn resident_rows(&self) -> usize {
-        self.rows.iter().filter(|r| r.is_some()).count()
+        (0..self.store.slots())
+            .filter(|&i| self.store.is_resident(i))
+            .count()
     }
 
     fn mem_bytes(&self) -> usize {
-        // Capacity, not len: `apply_sorted_updates` and `retain` leave slack
-        // in row vectors, and the slot vector itself over-allocates on
-        // growth. `max_index_gb` admission and `LeastLoaded` placement
-        // compare against the real allocation, not the live entry count.
-        self.rows.capacity() * std::mem::size_of::<Option<SparseRow>>()
-            + self
-                .rows
-                .iter()
-                .flatten()
-                .map(|r| r.entries.capacity())
-                .sum::<usize>()
-                * std::mem::size_of::<(u32, u32)>()
+        self.store.mem_bytes()
+    }
+
+    fn io_stats(&self) -> Option<IoStats> {
+        self.store.io_stats()
+    }
+
+    fn cost_hints(&self) -> CostHints {
+        self.store.cost_hints()
     }
 }
 
@@ -866,7 +938,7 @@ mod tests {
         let n = graph.slot_count();
         for i in 0..n {
             let x = NodeId::from_index(i);
-            if s.rows[i].is_none() {
+            if !s.store.is_resident(i) {
                 continue;
             }
             for j in 0..n {

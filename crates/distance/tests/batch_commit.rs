@@ -11,9 +11,11 @@
 //! * the same through `AnyBackend::Sparse`, record order included, so a
 //!   missing delegation (which would fall back to the default fold, whose
 //!   order differs) fails;
-//! * the default fold on the dense, partitioned and paged backends: dense
-//!   and partitioned net deltas project onto the sparse net delta, and the
-//!   paged net delta equals it bitwise;
+//! * the paged backend runs the same override over its paged row store:
+//!   its net delta equals the in-memory one record for record, directly
+//!   and through `AnyBackend::Paged`;
+//! * the default fold on the dense and partitioned backends: their net
+//!   deltas project onto the sparse net delta;
 //! * a batch that fails mid-way leaves the index repaired for exactly the
 //!   updates before the failure.
 
@@ -250,8 +252,7 @@ fn check_case(case: RawCase) -> Result<(), TestCaseError> {
     );
     assert_same_rows(&loop_graph, &any, &looped, "AnyBackend::Sparse")?;
 
-    // The default fold: dense and partitioned project onto sparse, paged
-    // is sparse bitwise.
+    // The default fold: dense and partitioned project onto sparse.
     let mut g = graph.clone();
     let mut dense = <IncrementalIndex as SlenBackend>::build(&graph, &reqs);
     let got = dense
@@ -272,20 +273,40 @@ fn check_case(case: RawCase) -> Result<(), TestCaseError> {
     prop_assert_eq!(projected, want.clone(), "partitioned net delta, projected");
     assert_same_rows(&g, &part, &dense, "partitioned vs dense")?;
 
+    // Paged is the sparse override over paged rows: the same records in
+    // the same order (the default fold's first-change order would differ).
     let mut g = graph.clone();
     let mut paged = PagedIndex::with_config(&graph, &reqs, tiny_paged());
     let got = paged
         .commit_batch(&mut g, &batch, RepairHint::Baseline)
         .expect("valid batch");
     prop_assert_eq!(sorted(&got.delta), want, "paged net delta");
+    prop_assert_eq!(
+        &got.delta.changed,
+        &direct.delta.changed,
+        "paged net delta, record order"
+    );
+    prop_assert_eq!(&got.created, &direct.created);
     assert_same_rows(&g, &paged, &looped, "paged")?;
+
+    let mut g = graph.clone();
+    let mut any = AnyBackend::Paged(PagedIndex::with_config(&graph, &reqs, tiny_paged()));
+    let got = any
+        .commit_batch(&mut g, &batch, RepairHint::Baseline)
+        .expect("valid batch");
+    prop_assert_eq!(
+        &got.delta.changed,
+        &direct.delta.changed,
+        "AnyBackend::Paged net delta"
+    );
+    assert_same_rows(&g, &any, &looped, "AnyBackend::Paged")?;
     Ok(())
 }
 
 /// Cut the batch at `cut` and insert an update that is invalid there:
 /// the failed commit must leave the graph holding exactly the prefix and
-/// the index equal to a clean commit of it, on the sparse override and on
-/// the default fold alike.
+/// the index equal to a clean commit of it, on the sparse override (over
+/// both row stores) and on the default fold alike.
 fn check_failure(case: RawCase, cut: usize) -> Result<(), TestCaseError> {
     let (nodes, labels, edges, mask, depth_sel, ops) = case;
     let (graph, label_ids) = build_graph(nodes, labels, &edges);
@@ -293,7 +314,7 @@ fn check_failure(case: RawCase, cut: usize) -> Result<(), TestCaseError> {
     let (batch, _) = draw_batch(&graph, &label_ids, &ops);
     let prefix = &batch[..cut % (batch.len() + 1)];
 
-    for kind in [BackendKind::Sparse, BackendKind::Dense] {
+    for kind in [BackendKind::Sparse, BackendKind::Paged, BackendKind::Dense] {
         let mut want_graph = graph.clone();
         let mut want = AnyBackend::of_kind(kind, &graph, &reqs);
         want.commit_batch(&mut want_graph, prefix, RepairHint::Baseline)
